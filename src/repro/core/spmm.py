@@ -336,7 +336,6 @@ class SpMMEngine:
                     needs_full_pass = True
         kernel_wall = 0.0
         if compute:
-            budget = self.config.parallel.chunk_budget_bytes
             # Trace propagation into the kernel dispatch: worker (or
             # serial per-partition) spans parent under the open "spmm"
             # span and carry this tracer's trace_id across the process
@@ -357,7 +356,7 @@ class SpMMEngine:
                 span_sink = self.tracer.attach
             wall_start = time.perf_counter()
             if needs_full_pass:
-                output[:] = matrix.spmm(dense, budget_bytes=budget)
+                output[:] = matrix.spmm(dense)
             else:
                 stats = getattr(self.kernel_executor, "stats", None)
                 before = (
@@ -375,7 +374,6 @@ class SpMMEngine:
                     dense,
                     kernel_ranges,
                     output,
-                    budget_bytes=budget,
                     trace_ctx=trace_ctx,
                     span_sink=span_sink,
                 )

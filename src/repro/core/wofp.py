@@ -163,7 +163,11 @@ class WorkloadPrefetcher:
             )
         reserved = max(int(w * self.sigma), 1)
         cols = matrix.col_list[partition.nnz_start : partition.nnz_end]
-        distinct, counts = np.unique(cols, return_counts=True)
+        # Ascending distinct columns and their counts, as np.unique gives,
+        # without sorting the workload.
+        counts = np.bincount(cols, minlength=matrix.n_cols)
+        distinct = np.flatnonzero(counts)
+        counts = counts[distinct]
         capacity = min(reserved, len(distinct))
         if self.selects_frequency(matrix, partition):
             return self._frequency_plan(distinct, counts, capacity, reserved, w)

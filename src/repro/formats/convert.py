@@ -1,7 +1,8 @@
 """Conversions between edge lists, CSR, CSDB and scipy sparse matrices.
 
-scipy is used *only* here, as an interop/validation boundary — the library
-itself computes on the from-scratch formats.
+Edge lists are built through :meth:`CSRMatrix.from_coo` (scipy's
+COO->CSR).  The ``*_to_scipy`` exports own their arrays; the SpMM kernel
+uses a zero-copy view instead (:func:`repro.formats.csr.scipy_view`).
 """
 
 from __future__ import annotations

@@ -1,15 +1,38 @@
-"""A from-scratch Compressed Sparse Row (CSR) matrix.
+"""Compressed Sparse Row (CSR) matrix.
 
 This is the baseline storage format of Fig. 19(a): ``indptr`` is an
 O(|V|) row-pointer array, ``indices``/``data`` hold the column ids and
-values of the non-zeros.  The implementation is numpy-vectorized but does
-not depend on ``scipy.sparse`` (scipy is only used at the interop
-boundary, see :mod:`repro.formats.convert`).
+values of the non-zeros.  :meth:`CSRMatrix.from_coo` builds through
+scipy's compiled COO->CSR conversion, and the CSR and CSDB operators
+(transpose, ``+``/``-``, ``prune``) build their results through it.
+:meth:`CSRMatrix.spmm` stays numpy-only on purpose: it is the
+independent sequential-sum oracle the compiled CSDB kernel is checked
+against (see :meth:`repro.formats.csdb.CSDBMatrix.spmm`).
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
+
+
+def scipy_view(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    data: np.ndarray,
+    shape: tuple[int, int],
+) -> sp.csr_array:
+    """``scipy.sparse.csr_array`` over the given arrays, without copying.
+
+    The constructor would narrow int64 indices to int32 (a copy); the
+    arrays are attached afterwards instead, so the compiled sparsetools
+    routines read them in place.  ``indptr`` and ``indices`` must share
+    an integer dtype.  The view aliases the arrays: treat it as
+    read-only.
+    """
+    view = sp.csr_array(shape, dtype=np.float64)
+    view.indptr, view.indices, view.data = indptr, indices, data
+    return view
 
 
 class CSRMatrix:
@@ -66,7 +89,10 @@ class CSRMatrix:
     ) -> "CSRMatrix":
         """Build a CSR matrix from coordinate triplets.
 
-        Duplicate (row, col) entries are summed when ``sum_duplicates``.
+        Columns come out sorted within each row.  Duplicate (row, col)
+        entries are summed when ``sum_duplicates`` (in an unspecified
+        order, so three or more non-integer duplicates may round
+        differently from a left-to-right sum) and kept otherwise.
         """
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
@@ -79,20 +105,12 @@ class CSRMatrix:
                 raise ValueError("row index out of range")
             if cols.min() < 0 or cols.max() >= n_cols:
                 raise ValueError("column index out of range")
-        order = np.lexsort((cols, rows))
-        rows, cols, vals = rows[order], cols[order], vals[order]
-        if sum_duplicates and len(rows):
-            keep = np.empty(len(rows), dtype=bool)
-            keep[0] = True
-            keep[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-            group = np.cumsum(keep) - 1
-            summed = np.zeros(int(group[-1]) + 1, dtype=np.float64)
-            np.add.at(summed, group, vals)
-            rows, cols, vals = rows[keep], cols[keep], summed
-        indptr = np.zeros(n_rows + 1, dtype=np.int64)
-        np.add.at(indptr, rows + 1, 1)
-        np.cumsum(indptr, out=indptr)
-        return cls(indptr, cols, vals, shape)
+        coo = sp.coo_array((vals, (rows, cols)), shape=(n_rows, n_cols))
+        # tocsr() sums duplicates unless the input claims canonical form.
+        coo.has_canonical_format = not sum_duplicates
+        csr = coo.tocsr()
+        csr.sort_indices()
+        return cls(csr.indptr, csr.indices, csr.data, (n_rows, n_cols))
 
     # -- basic properties -------------------------------------------------
 

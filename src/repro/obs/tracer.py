@@ -2,7 +2,7 @@
 
 The simulator produces two distinct notions of time: *simulated* seconds
 (what the cost model says the operation would take on the paper's Optane
-testbed) and *wall-clock* seconds (what the numpy kernels actually cost
+testbed) and *wall-clock* seconds (what the kernels actually cost
 on this machine).  A :class:`Span` records both, so a trace can answer
 "where does the modelled time go?" (Fig. 7a) and "where does the harness
 itself spend time?" from the same structure.

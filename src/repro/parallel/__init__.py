@@ -10,8 +10,8 @@ protocol behind the engine's kernel-dispatch seam:
   arrays, with a persistent warm segment cache and batched plan
   submission, bit-identical to the serial result;
 - :class:`ThreadsExecutor` — partitions on a persistent in-process
-  thread pool, zero segment copies (the numpy kernels release the
-  GIL), bit-identical to the serial result.
+  thread pool, zero segment copies (the compiled scipy kernel
+  releases the GIL), bit-identical to the serial result.
 
 Real backends expose :class:`ExecutorStats` warm-path counters that the
 engine folds into its metrics registry.

@@ -1,6 +1,6 @@
 """Simulated thread pool.
 
-Real work (numpy kernels) executes serially in-process; simulated *time*
+Real work (the SpMM kernel) executes serially in-process; simulated *time*
 advances per logical thread, so a parallel phase's completion time is the
 maximum simulated clock (the makespan) rather than the serial wall time.
 
@@ -9,9 +9,9 @@ Both execution backends implement one structural protocol
 dense operand, the contiguous row ranges the allocator produced, and the
 output buffer; the backend is free to run those ranges serially
 (:class:`SimulatedExecutor`) or on a worker-process pool
-(:class:`~repro.parallel.shared.SharedMemoryExecutor`).  Because row
-reductions never span a range or chunk boundary, every backend produces
-bit-identical output.
+(:class:`~repro.parallel.shared.SharedMemoryExecutor`).  Because the
+kernel sums each row left to right inside one range, every backend
+produces bit-identical output.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ class KernelExecutor(Protocol):
         dense: np.ndarray,
         ranges: list[tuple[int, int]],
         output: np.ndarray,
-        budget_bytes: int | None = None,
         trace_ctx: TraceContext | None = None,
         span_sink: Callable[[dict[str, Any]], Any] | None = None,
     ) -> None:
@@ -126,7 +125,6 @@ class SimulatedExecutor:
         dense: np.ndarray,
         ranges: list[tuple[int, int]],
         output: np.ndarray,
-        budget_bytes: int | None = None,
         trace_ctx: TraceContext | None = None,
         span_sink: Callable[[dict[str, Any]], Any] | None = None,
     ) -> None:
@@ -142,9 +140,7 @@ class SimulatedExecutor:
                 continue
             row_start, row_end = int(row_start), int(row_end)
             kernel_start = time.perf_counter()
-            partial = matrix.spmm_rows(
-                dense, row_start, row_end, budget_bytes=budget_bytes
-            )
+            partial = matrix.spmm_rows(dense, row_start, row_end)
             kernel_end = time.perf_counter()
             output[matrix.perm[row_start:row_end]] = partial
             if nnz_prefix is not None:

@@ -33,6 +33,26 @@ class TestEdgeConversions:
         u, v = paper_edges[-1]
         assert csr.to_dense()[u, v] == len(paper_edges)
 
+    @pytest.mark.parametrize("undirected", [True, False])
+    def test_csdb_equals_scipy_of_symmetrised_edges(self, undirected):
+        from repro.graphs import rmat_edges
+
+        edges = rmat_edges(9, edge_factor=6.0, seed=4)
+        src, dst = edges[:, 0], edges[:, 1]
+        if undirected:
+            src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
+        expected = sp.coo_matrix(
+            (np.ones(len(src)), (src, dst)), shape=(512, 512)
+        ).tocsr()
+        expected.sum_duplicates()
+        got = edges_to_csdb(edges, 512, undirected=undirected)
+        exported = csdb_to_scipy(got)
+        assert np.array_equal(exported.indptr, expected.indptr)
+        assert np.array_equal(exported.indices, expected.indices)
+        assert np.array_equal(exported.data, expected.data)
+        degrees = np.sort(np.diff(expected.indptr))[::-1]
+        assert np.array_equal(got.row_degrees(), degrees)
+
     def test_weights_length_mismatch(self, paper_edges):
         with pytest.raises(ValueError, match="weights"):
             edges_to_csr(paper_edges, 7, weights=np.ones(3))

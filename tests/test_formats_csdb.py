@@ -122,9 +122,13 @@ class TestAlgebra:
 
     def test_spmm_chunked_matches_unchunked(self, skewed_csdb, rng):
         b = rng.standard_normal((skewed_csdb.n_cols, 4))
-        assert np.allclose(
-            skewed_csdb.spmm(b, chunk_rows=37), skewed_csdb.spmm(b)
-        )
+        chunked = np.empty((skewed_csdb.n_rows, 4))
+        for start in range(0, skewed_csdb.n_rows, 37):
+            end = min(start + 37, skewed_csdb.n_rows)
+            chunked[skewed_csdb.perm[start:end]] = skewed_csdb.spmm_rows(
+                b, start, end
+            )
+        assert np.array_equal(chunked, skewed_csdb.spmm(b))
 
     def test_spmm_rows_partition_consistency(self, skewed_csdb, rng):
         b = rng.standard_normal((skewed_csdb.n_cols, 3))
@@ -199,28 +203,7 @@ class TestAlgebra:
 
 
 class TestBlockedKernel:
-    """Byte-budgeted chunking must not change a single bit."""
-
-    def test_budget_blocked_is_bitwise_equal(self, skewed_csdb, rng):
-        b = rng.standard_normal((skewed_csdb.n_cols, 7))
-        full = skewed_csdb.spmm(b)
-        assert np.array_equal(skewed_csdb.spmm(b, budget_bytes=4096), full)
-        assert np.array_equal(skewed_csdb.spmm(b, chunk_rows=11), full)
-
-    def test_spmm_rows_budget_bitwise_equal(self, skewed_csdb, rng):
-        b = rng.standard_normal((skewed_csdb.n_cols, 5))
-        mid = skewed_csdb.n_rows // 2
-        assert np.array_equal(
-            skewed_csdb.spmm_rows(b, 0, mid, budget_bytes=4096),
-            skewed_csdb.spmm_rows(b, 0, mid),
-        )
-
-    def test_chunk_boundaries_are_row_aligned(self, skewed_csdb):
-        bounds = skewed_csdb._chunk_boundaries(
-            0, skewed_csdb.n_rows, d=8, budget_bytes=4096
-        )
-        assert bounds[0] == 0 and bounds[-1] == skewed_csdb.n_rows
-        assert np.all(np.diff(bounds) >= 1)
+    """``verify=True`` demands exact equality with the CSR oracle."""
 
     def test_verify_passes_against_scipy_csr(self, skewed_csdb, rng):
         b = rng.standard_normal((skewed_csdb.n_cols, 4))
@@ -233,8 +216,8 @@ class TestBlockedKernel:
         from repro.formats import KernelVerificationError
 
         b = rng.standard_normal((skewed_csdb.n_cols, 3))
-        # Skew the CSR reference: verification must notice the blocked
-        # kernel and the reference disagreeing.
+        # Skew the CSR reference: verification must notice the kernel
+        # and the reference disagreeing.
         reference = skewed_csdb.to_csr()
         monkeypatch.setattr(
             skewed_csdb,
@@ -247,6 +230,24 @@ class TestBlockedKernel:
             ),
         )
         with pytest.raises(KernelVerificationError, match="max abs error"):
+            skewed_csdb.spmm(b, verify=True)
+
+    def test_verify_is_exact(self, skewed_csdb, rng, monkeypatch):
+        from repro.formats import KernelVerificationError
+
+        b = rng.standard_normal((skewed_csdb.n_cols, 3))
+        # A skew far inside any rtol-style tolerance must still fail.
+        reference = skewed_csdb.to_csr()
+        data = reference.data.copy()
+        data[0] *= 1.0 + 1e-12
+        monkeypatch.setattr(
+            skewed_csdb,
+            "to_csr",
+            lambda: CSRMatrix(
+                reference.indptr, reference.indices, data, reference.shape
+            ),
+        )
+        with pytest.raises(KernelVerificationError):
             skewed_csdb.spmm(b, verify=True)
 
 

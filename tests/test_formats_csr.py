@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.formats import CSRMatrix
 
@@ -36,6 +37,9 @@ class TestConstruction:
         assert m.nnz == 0
         assert m.shape == (4, 5)
         assert np.allclose(m.to_dense(), 0.0)
+        assert np.array_equal(m.indptr, np.zeros(5))
+        assert m.indices.dtype == np.int64
+        assert CSRMatrix.from_coo([], [], [], (0, 0)).shape == (0, 0)
 
     def test_rejects_row_out_of_range(self):
         with pytest.raises(ValueError, match="row index"):
@@ -52,6 +56,52 @@ class TestConstruction:
     def test_rejects_bad_indptr(self):
         with pytest.raises(ValueError, match="indptr"):
             CSRMatrix(np.array([0, 2]), np.array([0]), np.array([1.0]), (1, 1))
+
+
+class TestScipyBuilderParity:
+    """``from_coo`` goes through scipy's COO->CSR; pin its contract."""
+
+    def test_unsorted_input_gives_sorted_rows(self):
+        rng = np.random.default_rng(3)
+        rows = rng.integers(0, 20, 300)
+        cols = rng.integers(0, 30, 300)
+        vals = rng.integers(1, 9, 300).astype(float)
+        m = CSRMatrix.from_coo(rows, cols, vals, (20, 30))
+        for i in range(m.n_rows):
+            row_cols, _ = m.row(i)
+            assert np.all(np.diff(row_cols) > 0)
+        expected = dense_of(rows, cols, vals, (20, 30))
+        assert np.array_equal(m.to_dense(), expected)
+        assert m.indptr.dtype == np.int64 and m.indices.dtype == np.int64
+
+    def test_duplicates_summed(self):
+        rows, cols = [1, 0, 1, 1, 0], [2, 3, 0, 2, 3]
+        vals = [0.5, 1.0, 4.0, 0.25, 2.0]
+        m = CSRMatrix.from_coo(rows, cols, vals, (2, 4))
+        assert np.array_equal(m.indptr, [0, 1, 3])
+        assert np.array_equal(m.indices, [3, 0, 2])
+        assert np.array_equal(m.data, [3.0, 4.0, 0.75])
+
+    def test_duplicates_kept_and_sorted_when_disabled(self):
+        m = CSRMatrix.from_coo(
+            [1, 0, 1, 1], [2, 3, 0, 2], [0.5, 1.0, 4.0, 0.25], (2, 4),
+            sum_duplicates=False,
+        )
+        assert np.array_equal(m.indptr, [0, 1, 4])
+        assert np.array_equal(m.indices, [3, 0, 2, 2])
+        assert sorted(m.data[2:].tolist()) == [0.25, 0.5]
+
+    def test_matches_scipy_canonical_csr(self):
+        rng = np.random.default_rng(11)
+        rows = rng.integers(0, 50, 2000)
+        cols = rng.integers(0, 40, 2000)
+        vals = rng.integers(-4, 5, 2000).astype(float)
+        m = CSRMatrix.from_coo(rows, cols, vals, (50, 40))
+        expected = sp.coo_matrix((vals, (rows, cols)), shape=(50, 40)).tocsr()
+        expected.sum_duplicates()
+        assert np.array_equal(m.indptr, expected.indptr)
+        assert np.array_equal(m.indices, expected.indices)
+        assert np.array_equal(m.data, expected.data)
 
 
 class TestAccessors:

@@ -120,6 +120,92 @@ class TestPlans:
         assert np.array_equal(a.hot_columns, b.hot_columns)
 
 
+def _unique_plan(prefetcher, matrix, partition):
+    """The plan as built from ``np.unique`` (sorting) counts."""
+    w = partition.nnz_count
+    reserved = max(int(w * prefetcher.sigma), 1)
+    cols = matrix.col_list[partition.nnz_start : partition.nnz_end]
+    distinct, counts = np.unique(cols, return_counts=True)
+    capacity = min(reserved, len(distinct))
+    if prefetcher.selects_frequency(matrix, partition):
+        return prefetcher._frequency_plan(
+            distinct, counts, capacity, reserved, w
+        )
+    return prefetcher._degree_plan(
+        distinct, counts, matrix.col_degrees(), capacity, reserved, w
+    )
+
+
+class TestPlanMatchesUnique:
+    """The bincount plan equals the np.unique plan field for field."""
+
+    @staticmethod
+    def _assert_same(a, b):
+        assert (a.kind, a.capacity, a.reserved_entries) == (
+            b.kind, b.capacity, b.reserved_entries
+        )
+        assert a.hot_columns.dtype == b.hot_columns.dtype
+        assert np.array_equal(a.hot_columns, b.hot_columns)
+        assert a.hit_fraction == b.hit_fraction
+        assert a.maintenance_ops == b.maintenance_ops
+
+    @pytest.mark.parametrize("eta", [1e-9, 0.01, 1e9])
+    @pytest.mark.parametrize("n_parts", [1, 3, 16])
+    def test_random_partitions(self, skewed_csdb, eta, n_parts):
+        from repro.core.eata import AllocatorContext
+
+        ctx = AllocatorContext(skewed_csdb)
+        rng = np.random.default_rng(n_parts)
+        cuts = np.sort(rng.integers(0, skewed_csdb.n_rows, n_parts - 1))
+        bounds = [0, *cuts.tolist(), skewed_csdb.n_rows]
+        prefetcher = WorkloadPrefetcher(eta=eta, sigma=0.1)
+        for tid, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+            p = ctx.make_partition(tid, a, b)
+            self._assert_same(
+                prefetcher.plan(skewed_csdb, p),
+                _unique_plan(prefetcher, skewed_csdb, p),
+            )
+
+    @staticmethod
+    def _hub_matrix():
+        """One hub row, a random body and ten trailing empty rows."""
+        from repro.formats import CSDBMatrix
+
+        rng = np.random.default_rng(5)
+        rows = np.concatenate(
+            [np.zeros(400, dtype=int), rng.integers(1, 60, 300)]
+        )
+        cols = rng.integers(0, 500, len(rows))
+        return CSDBMatrix.from_coo(rows, cols, np.ones(len(rows)), (70, 500))
+
+    @pytest.mark.parametrize("eta", [1e-9, 1e9])
+    def test_hub_row_partition(self, eta):
+        from repro.core.eata import AllocatorContext
+
+        matrix = self._hub_matrix()
+        ctx = AllocatorContext(matrix)
+        prefetcher = WorkloadPrefetcher(eta=eta, sigma=0.2)
+        for a, b in ((0, 1), (0, 70), (1, 70)):
+            p = ctx.make_partition(0, a, b)
+            self._assert_same(
+                prefetcher.plan(matrix, p), _unique_plan(prefetcher, matrix, p)
+            )
+
+    def test_zero_degree_partition(self):
+        """Rows but no non-zeros: an empty degree plan (the np.unique
+        reference would divide by the zero workload)."""
+        from repro.core.eata import AllocatorContext
+
+        matrix = self._hub_matrix()
+        first_empty = int(np.flatnonzero(matrix.row_degrees() == 0)[0])
+        partition = AllocatorContext(matrix).make_partition(0, first_empty, 70)
+        plan = WorkloadPrefetcher().plan(matrix, partition)
+        assert (plan.kind, plan.capacity, plan.hit_fraction) == (
+            "degree", 0, 0.0
+        )
+        assert plan.hot_columns.size == 0
+
+
 class TestDisabledPlan:
     def test_disabled_is_inert(self):
         plan = DisabledPrefetchPlan()
