@@ -8,46 +8,46 @@ Commands:
 - ``spmm``              — run one instrumented SpMM and print the cost
   anatomy;
 - ``compare``           — run the Fig. 12 system arms on one graph;
-- ``report``            — render a ``--telemetry-out`` JSONL file back
-  into the Fig. 7(a)-style breakdown tables (plus the hot-span table);
+- ``report``            — render a ``--telemetry-out`` file back into
+  the Fig. 7(a)-style breakdown tables (plus the hot-span table);
 - ``serve-sim``         — replay a request trace against the resilient
   embedding server (:mod:`repro.serve`), optionally under a serve-time
   fault plan (backend stalls, request bursts, PM degradation) and/or a
   declarative SLO spec (``--slo``, with error-budget burn rates);
 - ``diff``              — per-stage / per-metric deltas between two
-  telemetry exports, nonzero exit when a time-like series regresses
+  telemetry files, nonzero exit when a time-like series regresses
   past ``--threshold``;
-- ``profile``           — fold a telemetry export's spans into a
-  flamegraph-style profile; ``--out`` writes the collapsed-stack text
-  form standard flamegraph tooling consumes;
+- ``profile``           — fold a telemetry file's spans into a
+  flamegraph-style profile ranked by ``--clock``; ``--out`` writes the
+  collapsed-stack text form standard flamegraph tooling consumes;
 - ``perf-gate``         — run the pinned micro-bench suite, compare
   against the stored baseline (``benchmarks/baselines/``) and append a
   ``BENCH_omega.json`` trajectory point (the CI perf-regression gate);
-- ``top``               — the real-time ops view: tail a ``--live``
-  stream file and render req/s, shed/deadline rates, breaker state,
+- ``top``               — the real-time ops view: tail a telemetry
+  file and render req/s, shed/deadline rates, breaker state,
   rung occupancy, SpMM throughput and SLO burn (``--once`` renders a
   single frame; ``--format prom`` emits Prometheus exposition text);
 - ``why``               — per-request tail-latency forensics: rebuild a
-  request's causal tree from a ``--live`` stream and render it as a
-  waterfall with per-category blame fractions (queue / breaker /
-  shard-hedge / stale-fallback / kernel), incident-linked; without a
+  request's causal tree from a ``serve-sim`` telemetry file and render
+  it as a waterfall with per-category blame fractions (queue / breaker
+  / shard-hedge / stale-fallback / kernel), incident-linked; without a
   trace id, renders the slowest ``--worst N`` retained exemplars;
-- ``attribute``         — fold a ``--live`` stream into the aggregate
-  per-class blame table (``--check`` exits nonzero when any request's
-  blame fails to sum to its simulated latency);
+- ``attribute``         — fold a ``serve-sim`` telemetry file into the
+  aggregate per-class blame table (``--check`` exits nonzero when any
+  request's blame fails to sum to its simulated latency);
 - ``trend``             — per-series trajectories over the
   ``BENCH_omega.json`` perf history, with sparklines (perf-gate points
   contribute ``attribution.*`` blame-fraction series);
 - ``baselines``         — inspect the baseline store: ``list`` refs,
   ``show`` a payload, ``gc`` unreferenced objects (dry-run default).
 
-``embed``, ``spmm``, ``compare`` and ``calibrate`` accept
-``--telemetry-out PATH`` to export spans, metrics and cost ledgers as
-structured JSONL (see :mod:`repro.obs`).  ``embed``, ``spmm``,
-``serve-sim`` and ``perf-gate`` also accept ``--live PATH`` to stream
-the telemetry incrementally to a crash-tolerant JSONL file while the
-run is in flight — the file ``repro top`` tails.  ``embed``
-additionally takes ``--faults PLAN.json`` (a
+``embed``, ``spmm``, ``compare``, ``calibrate``, ``serve-sim`` and
+``perf-gate`` accept ``--telemetry-out PATH``: the run's spans, events,
+metrics and cost ledgers stream to one crash-tolerant JSONL file from
+the start of the run, closed on exit (see :mod:`repro.obs.live`).  Every
+reading command takes that file, and ``repro top`` can tail it while
+the run is in flight (``--follow`` does so in the same terminal).
+``embed`` additionally takes ``--faults PLAN.json`` (a
 :class:`repro.faults.FaultPlan`) to run under injected faults with
 stage-granular checkpoints, ``--resume`` to recover from injected
 crashes and finish the run, and ``--slo SPEC.json`` to gate the
@@ -122,23 +122,18 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=None,
         metavar="N",
-        help="worker processes for the shared-memory backend (default 2)",
+        help="workers of the threads or shared-memory backend (default 2)",
     )
     parser.add_argument(
         "--telemetry-out",
         metavar="PATH",
-        help="export spans/metrics/cost ledgers as JSONL (see 'repro report')",
-    )
-    parser.add_argument(
-        "--live",
-        metavar="PATH",
-        help="stream telemetry incrementally to a JSONL file while the"
-        " run is in flight (tail it with 'repro top PATH')",
+        help="stream spans/events/metrics/cost ledgers to a JSONL file"
+        " while the run is in flight (see 'repro report', 'repro top')",
     )
     parser.add_argument(
         "--follow",
         action="store_true",
-        help="with --live: also tail the stream in this terminal,"
+        help="with --telemetry-out: also tail the file in this terminal,"
         " printing stages and shard events as they complete",
     )
 
@@ -217,30 +212,30 @@ def cmd_probe(_: argparse.Namespace) -> int:
     return 0
 
 
+def _engine_meta(args: argparse.Namespace, command: str, graph: str) -> dict:
+    keys = ("mode", "allocation", "placement", "threads", "dim")
+    return {"command": command, "graph": graph} | {
+        key: getattr(args, key) for key in keys
+    }
+
+
 def _telemetry_session(
-    args: argparse.Namespace, command: str, graph: str, force: bool = False
+    args: argparse.Namespace, meta: dict, force: bool = False
 ) -> TelemetrySession | None:
-    live = getattr(args, "live", None)
-    if not args.telemetry_out and not live and not force:
+    """The run's session, streaming to ``--telemetry-out`` if given.
+
+    ``force`` builds an in-memory session even without a file.
+    """
+    if not args.telemetry_out and not force:
         return None
-    session = TelemetrySession(
-        meta={
-            "command": command,
-            "graph": graph,
-            "mode": args.mode,
-            "allocation": args.allocation,
-            "placement": args.placement,
-            "threads": args.threads,
-            "dim": args.dim,
-        }
-    )
-    if live:
-        session.stream_to(live)
+    session = TelemetrySession(meta=meta)
+    if args.telemetry_out:
+        session.stream_to(args.telemetry_out)
     return session
 
 
 class _StreamFollowPrinter:
-    """Tail this process's own ``--live`` stream and print progress.
+    """Tail this process's own ``--telemetry-out`` file and print progress.
 
     A daemon thread polls the stream file with
     :class:`~repro.obs.live.StreamFollower` and prints one line per
@@ -257,7 +252,7 @@ class _StreamFollowPrinter:
         self._thread = threading.Thread(target=self._run, daemon=True)
 
     def __enter__(self) -> "_StreamFollowPrinter":
-        print(f"following live stream {self.path}")
+        print(f"following telemetry stream {self.path}")
         self._thread.start()
         return self
 
@@ -286,22 +281,15 @@ def _follow_stream(args: argparse.Namespace):
     import contextlib
 
     if getattr(args, "follow", False):
-        live = getattr(args, "live", None)
-        if not live:
-            raise SystemExit("--follow requires --live PATH")
-        return _StreamFollowPrinter(live)
+        if not args.telemetry_out:
+            raise SystemExit("--follow requires --telemetry-out PATH")
+        return _StreamFollowPrinter(args.telemetry_out)
     return contextlib.nullcontext()
 
 
-def _save_telemetry(session: TelemetrySession | None, path: str | None) -> None:
-    if session is None:
-        return
-    if session.stream is not None:
-        stream_path = session.close_stream()
-        print(f"live stream closed at {stream_path}")
-    if path:
-        session.save(path)
-        print(f"telemetry written to {path}")
+def _close_telemetry(session: TelemetrySession | None) -> None:
+    if session is not None and session.stream is not None:
+        print(f"telemetry written to {session.close_stream()}")
 
 
 def _embed_under_faults(
@@ -371,7 +359,9 @@ def cmd_embed(args: argparse.Namespace) -> int:
     config = _config_from_args(args, scale)
     # An SLO evaluation needs the run's spans and metric records even
     # when no telemetry file was requested, so force a session.
-    session = _telemetry_session(args, "embed", name, force=bool(args.slo))
+    session = _telemetry_session(
+        args, _engine_meta(args, "embed", name), force=bool(args.slo)
+    )
     embedder = OMeGaEmbedder(
         config,
         tracer=session.tracer if session else None,
@@ -383,7 +373,7 @@ def cmd_embed(args: argparse.Namespace) -> int:
                 args, embedder, edges, n_nodes, session
             )
             if result is None:
-                _save_telemetry(session, args.telemetry_out)
+                _close_telemetry(session)
                 return 1
         elif args.slo:
             # Route through the checkpointing layer so the run pays (and
@@ -422,7 +412,7 @@ def cmd_embed(args: argparse.Namespace) -> int:
             },
         )
         slo_ok = slo_report.ok
-    _save_telemetry(session, args.telemetry_out)
+    _close_telemetry(session)
     return 0 if slo_ok else 1
 
 
@@ -431,7 +421,7 @@ def cmd_spmm(args: argparse.Namespace) -> int:
     config = _config_from_args(args, scale)
     matrix = edges_to_csdb(edges, n_nodes)
     dense = np.random.default_rng(0).standard_normal((n_nodes, args.dim))
-    session = _telemetry_session(args, "spmm", name)
+    session = _telemetry_session(args, _engine_meta(args, "spmm", name))
     engine = SpMMEngine(
         config,
         tracer=session.tracer if session else None,
@@ -496,7 +486,7 @@ def cmd_spmm(args: argparse.Namespace) -> int:
     print(format_table(["step", "time (sum over threads)", "share"], rows))
     if session is not None:
         session.add_cost_trace("spmm", result.trace)
-    _save_telemetry(session, args.telemetry_out)
+    _close_telemetry(session)
     return 0
 
 
@@ -555,23 +545,29 @@ def cmd_profile(args: argparse.Namespace) -> int:
     records = load_records(args.trace)
     spans = [r for r in records if r.get("type") == "span"]
     profile = build_profile(spans)
+    clock = args.clock
+    other = "wall" if clock == "sim" else "sim"
     rows = [
         [
             ";".join(node.path[1:]),
             node.calls,
-            format_seconds(node.sim_self),
-            format_seconds(node.sim_total),
-            format_seconds(node.wall_self),
+            format_seconds(getattr(node, f"{clock}_self")),
+            format_seconds(getattr(node, f"{clock}_total")),
+            format_seconds(getattr(node, f"{other}_self")),
         ]
-        for node in hot_spans(profile, top_n=args.top)
+        for node in hot_spans(profile, top_n=args.top, clock=clock)
     ]
     print(
         format_table(
-            ["span path", "calls", "sim self", "sim total", "wall self"],
+            [
+                "span path", "calls", f"{clock} self", f"{clock} total",
+                f"{other} self",
+            ],
             rows,
             title=(
                 f"Profile of {args.trace}"
-                f" ({format_seconds(profile.sim_total)} simulated total)"
+                f" ({format_seconds(getattr(profile, f'{clock}_total'))}"
+                f" {clock} total)"
             ),
         )
     )
@@ -599,11 +595,11 @@ def cmd_perf_gate(args: argparse.Namespace) -> int:
         update_baseline=args.update_baseline,
         faults_path=args.faults,
         trajectory_path=None if args.no_trajectory else trajectory,
-        live_path=args.live,
+        live_path=args.telemetry_out,
     )
     print(render_gate(report, threshold=args.threshold))
-    if args.live:
-        print(f"live stream closed at {args.live}")
+    if args.telemetry_out:
+        print(f"telemetry written to {args.telemetry_out}")
     wall_ok = True
     if args.wall != "off":
         from repro.obs.observatory import render_wall, run_wall_gate
@@ -618,9 +614,6 @@ def cmd_perf_gate(args: argparse.Namespace) -> int:
         )
         print(render_wall(wall_report))
         wall_ok = wall_report.ok
-    if args.telemetry_out:
-        report.run.session.save(args.telemetry_out)
-        print(f"telemetry written to {args.telemetry_out}")
     if args.profile_out:
         spans = report.run.session.tracer.to_records()
         write_collapsed(build_profile(spans), args.profile_out)
@@ -633,7 +626,7 @@ def cmd_top(args: argparse.Namespace) -> int:
         StreamFollower,
         build_top_frame,
         latest_metric_records,
-        read_stream,
+        load_records,
         render_prom,
         render_top,
     )
@@ -647,7 +640,7 @@ def cmd_top(args: argparse.Namespace) -> int:
     if args.once:
         if not Path(args.stream).is_file():
             raise SystemExit(f"{args.stream}: no such stream file")
-        records, _ = read_stream(args.stream)
+        records = load_records(args.stream)
         if args.format == "prom":
             print(render_prom(latest_metric_records(records)))
         else:
@@ -707,7 +700,7 @@ def cmd_why(args: argparse.Namespace) -> int:
         if tree is None:
             raise SystemExit(
                 f"{args.trace_id}: no forensic tree in {args.stream}"
-                " (was the server run with --live?)"
+                " (was the server run with --telemetry-out?)"
             )
         trees = [tree]
     else:
@@ -834,7 +827,7 @@ def cmd_serve_sim(args: argparse.Namespace) -> int:
     # An SLO evaluation needs the run's metric records even when no
     # telemetry file was requested, so force an in-memory session.
     session = _telemetry_session(
-        args, "serve-sim", name, force=bool(args.slo)
+        args, _engine_meta(args, "serve-sim", name), force=bool(args.slo)
     )
     embedder = OMeGaEmbedder(
         config,
@@ -1020,26 +1013,23 @@ def cmd_serve_sim(args: argparse.Namespace) -> int:
             },
         )
         slo_ok = slo_report.ok
-    _save_telemetry(session, args.telemetry_out)
+    _close_telemetry(session)
     return 0 if report.balanced and health["healthy"] and slo_ok else 1
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.graph)
     plan = FaultPlan.load(args.faults) if args.faults else None
-    session = None
-    if args.telemetry_out or args.live:
-        session = TelemetrySession(
-            meta={
-                "command": "compare",
-                "graph": dataset.name,
-                "threads": args.threads,
-                "dim": args.dim,
-                "faults": args.faults,
-            }
-        )
-        if args.live:
-            session.stream_to(args.live)
+    session = _telemetry_session(
+        args,
+        {
+            "command": "compare",
+            "graph": dataset.name,
+            "threads": args.threads,
+            "dim": args.dim,
+            "faults": args.faults,
+        },
+    )
     if session is not None and plan is not None:
         session.event(
             "fault_plan", path=args.faults, seed=plan.seed,
@@ -1082,7 +1072,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
             title=f"Fig. 12 arms on {dataset.name}",
         )
     )
-    _save_telemetry(session, args.telemetry_out)
+    _close_telemetry(session)
     return 0
 
 
@@ -1102,7 +1092,7 @@ def build_parser() -> argparse.ArgumentParser:
     calibrate.add_argument(
         "--telemetry-out",
         metavar="PATH",
-        help="export per-arm spans and calibration points as JSONL",
+        help="stream per-arm spans and calibration points to a JSONL file",
     )
 
     embed = sub.add_parser("embed", help="embed a graph")
@@ -1159,32 +1149,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     compare.add_argument(
         "--workers", type=int, default=None, metavar="N",
-        help="worker processes for the shared-memory backend",
+        help="workers of the threads or shared-memory backend",
     )
     compare.add_argument(
         "--telemetry-out",
         metavar="PATH",
-        help="export per-arm spans, metrics and cost ledgers as JSONL",
-    )
-    compare.add_argument(
-        "--live", metavar="PATH",
-        help="stream per-arm telemetry incrementally to a JSONL file"
-        " while the arms run (tail it with 'repro top PATH')",
+        help="stream per-arm spans, events, metrics and cost ledgers to a"
+        " JSONL file while the arms run",
     )
     compare.add_argument(
         "--follow", action="store_true",
-        help="with --live: also tail the stream in this terminal,"
+        help="with --telemetry-out: also tail the file in this terminal,"
         " printing arms and stages as they complete",
     )
 
     report = sub.add_parser(
         "report", help="render a telemetry JSONL file as breakdown tables"
     )
-    report.add_argument("trace", help="path to a --telemetry-out JSONL file")
+    report.add_argument("trace", help="path to a --telemetry-out file")
 
     diff = sub.add_parser(
         "diff",
-        help="per-stage/per-metric deltas between two telemetry exports",
+        help="per-stage/per-metric deltas between two telemetry files",
     )
     diff.add_argument(
         "run_a", help="baseline: telemetry JSONL file or stored baseline name"
@@ -1217,16 +1203,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     profile = sub.add_parser(
         "profile",
-        help="fold a telemetry export's spans into a flamegraph profile",
+        help="fold a telemetry file's spans into a flamegraph profile",
     )
-    profile.add_argument("trace", help="path to a --telemetry-out JSONL file")
+    profile.add_argument("trace", help="path to a --telemetry-out file")
     profile.add_argument(
         "--out", metavar="PATH",
         help="write collapsed-stack text (flamegraph.pl / speedscope input)",
     )
     profile.add_argument(
         "--clock", choices=("sim", "wall"), default="sim",
-        help="which clock the collapsed counts measure (default: sim)",
+        help="which clock ranks the hot-span table and measures the"
+        " collapsed counts (default: sim)",
     )
     profile.add_argument(
         "--top", type=int, default=15,
@@ -1268,10 +1255,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     gate.add_argument(
         "--telemetry-out", metavar="PATH",
-        help="export the suite's telemetry as JSONL",
-    )
-    gate.add_argument(
-        "--live", metavar="PATH",
         help="stream the suite's telemetry to a JSONL file while it"
         " runs (tail it with 'repro top PATH'; CI uploads it)",
     )
@@ -1293,7 +1276,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     gate.add_argument(
         "--workers", type=int, default=2, metavar="N",
-        help="worker processes for the wall arm's shared-memory backend",
+        help="workers of the wall arm's threads or shared-memory backend",
     )
 
     serve = sub.add_parser(
@@ -1390,9 +1373,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     top = sub.add_parser(
         "top",
-        help="real-time ops view over a --live telemetry stream",
+        help="real-time ops view over a --telemetry-out file",
     )
-    top.add_argument("stream", help="path to a --live stream JSONL file")
+    top.add_argument("stream", help="path to a --telemetry-out file")
     top.add_argument(
         "--once", action="store_true",
         help="render a single frame from the stream's current contents",
@@ -1418,9 +1401,9 @@ def build_parser() -> argparse.ArgumentParser:
     why = sub.add_parser(
         "why",
         help="per-request tail-latency forensics: render the causal tree"
-        " of a request (or the slowest N) from a --live stream",
+        " of a request (or the slowest N) from a serve-sim telemetry file",
     )
-    why.add_argument("stream", help="path to a --live stream JSONL file")
+    why.add_argument("stream", help="path to a --telemetry-out file")
     why.add_argument(
         "trace_id", nargs="?", default=None,
         help="render this request's tree (default: the slowest --worst N)",
@@ -1438,11 +1421,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     attribute = sub.add_parser(
         "attribute",
-        help="fold a --live stream into the per-class tail-latency"
+        help="fold a serve-sim telemetry file into the per-class tail-latency"
         " blame table (queue/breaker/shard-hedge/stale/kernel)",
     )
     attribute.add_argument(
-        "stream", help="path to a --live stream JSONL file"
+        "stream", help="path to a --telemetry-out file"
     )
     attribute.add_argument(
         "--format", choices=("table", "json"), default="table",
@@ -1495,11 +1478,9 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_calibrate(args: argparse.Namespace) -> int:
     from repro.bench.calibration import calibration_report, format_report
 
-    session = None
-    if args.telemetry_out:
-        session = TelemetrySession(
-            meta={"command": "calibrate", "graph": args.graph}
-        )
+    session = _telemetry_session(
+        args, {"command": "calibrate", "graph": args.graph}
+    )
     points = calibration_report(
         args.graph,
         tracer=session.tracer if session else None,
@@ -1513,7 +1494,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
                 paper_value=point.paper_value, measured=point.measured,
                 in_band=point.in_band,
             )
-    _save_telemetry(session, args.telemetry_out)
+    _close_telemetry(session)
     return 0 if all(p.in_band for p in points) else 1
 
 

@@ -101,9 +101,9 @@ class ParallelConfig:
         """Environment-overridable default backend.
 
         ``REPRO_EXEC_BACKEND`` / ``REPRO_WORKERS`` flip the default so
-        an unmodified test suite can run once against the shared-memory
-        backend (the CI smoke job); unset, the simulated backend keeps
-        deterministic single-process behavior.
+        an unmodified test suite can run once against the threads or
+        shared-memory backend (the CI smoke jobs); unset, the simulated
+        backend keeps deterministic single-process behavior.
         """
         backend = ExecBackend(
             os.environ.get("REPRO_EXEC_BACKEND", ExecBackend.SIMULATED.value)
@@ -143,8 +143,9 @@ class OMeGaConfig:
         dram_headroom: fraction of DRAM the streaming loader may use.
         topology: the NUMA machine model.
         seed: RNG seed for randomized algorithms (tSVD range finder).
-        parallel: real-execution backend selection (simulated vs
-            shared-memory worker pool); orthogonal to the cost model.
+        parallel: real-execution backend selection (serial simulated,
+            threads pool or shared-memory worker processes) and its
+            worker count; orthogonal to the cost model.
     """
 
     n_threads: int = 8

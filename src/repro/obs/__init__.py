@@ -9,12 +9,13 @@ adds the *where* and *when*:
 - :mod:`repro.obs.metrics` — counters, gauges and fixed-bucket
   histograms for non-timing telemetry (WoFP hits, allocated bytes,
   partition entropy, streaming exposure);
-- :mod:`repro.obs.export` — the JSONL event sink, snapshot exporter and
-  :class:`TelemetrySession` bundle shared by the CLI and benches;
-- :mod:`repro.obs.live` — the live telemetry layer: crash-tolerant
-  streaming JSONL (:class:`TelemetryStream`), cross-process trace
-  propagation (:class:`TraceContext`, worker partition spans),
-  multi-stream merging and the ``repro top`` ops view;
+- :mod:`repro.obs.export` — the :class:`TelemetrySession` bundle shared
+  by the CLI and benches, which writes itself as a telemetry stream;
+- :mod:`repro.obs.live` — the one telemetry file format: the
+  crash-tolerant append-only :class:`TelemetryStream` (its only writer),
+  :func:`load_records` (its only reader, merging worker sibling files),
+  cross-process trace propagation (:class:`TraceContext`) and the
+  ``repro top`` ops view;
 - :mod:`repro.obs.forensics` — per-request tail-latency forensics:
   causal trees on the live bus, critical-path blame attribution whose
   categories sum exactly to the simulated latency, bounded exemplar
@@ -28,12 +29,7 @@ adds the *where* and *when*:
   (``repro diff`` / ``profile`` / ``perf-gate``, ``serve-sim --slo``).
 """
 
-from repro.obs.export import (
-    JsonlSink,
-    TELEMETRY_VERSION,
-    TelemetrySession,
-    read_jsonl,
-)
+from repro.obs.export import TELEMETRY_VERSION, TelemetrySession
 from repro.obs.forensics import (
     ExemplarReservoir,
     ForensicsReport,
@@ -46,7 +42,6 @@ from repro.obs.live import (
     TelemetryStream,
     TraceContext,
     load_records,
-    merge_streams,
     read_stream,
 )
 from repro.obs.metrics import (
@@ -95,7 +90,6 @@ __all__ = [
     "render_waterfall",
     "Gauge",
     "Histogram",
-    "JsonlSink",
     "MetricsRegistry",
     "NULL_TRACER",
     "NullTracer",
@@ -107,9 +101,7 @@ __all__ = [
     "TelemetryStream",
     "TraceContext",
     "load_records",
-    "merge_streams",
     "merged_cost_trace",
-    "read_jsonl",
     "read_stream",
     "render_report",
     "render_report_file",

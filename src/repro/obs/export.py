@@ -1,89 +1,39 @@
-"""Structured telemetry export: JSONL event sink and snapshots.
+"""The telemetry session: one run's tracer, metrics, ledgers and events.
 
-A telemetry file is a JSON-Lines stream of self-describing records:
+:class:`TelemetrySession` bundles one tracer + one registry + metadata
+and writes the lot as a :class:`~repro.obs.live.TelemetryStream`, the
+one telemetry file format (see :mod:`repro.obs.live`).  Its records:
 
 - ``{"type": "meta", ...}``        — run metadata (graph, config, version);
-- ``{"type": "manifest", ...}``    — the run manifest (git SHA, config
-  hash, dataset, seed, sim/wall totals; see
-  :mod:`repro.obs.observatory.manifest`);
 - ``{"type": "span", ...}``        — one finished tracer span;
+- ``{"type": "event", ...}``       — free-form instant events;
 - ``{"type": "metric", ...}``      — one counter/gauge/histogram;
 - ``{"type": "cost_trace", ...}``  — a named :class:`CostTrace` ledger
   (full float precision, so downstream breakdowns reproduce
   ``CostTrace.breakdown()`` exactly);
-- ``{"type": "event", ...}``       — free-form instant events.
+- ``{"type": "manifest", ...}``    — the run manifest (git SHA, config
+  hash, dataset, seed, sim/wall totals; see
+  :mod:`repro.obs.observatory.manifest`).
 
-:class:`TelemetrySession` bundles one tracer + one registry + metadata
-and knows how to serialize the lot; the CLI (``--telemetry-out``), the
-bench harness and tests all go through it so every producer emits the
-same schema.  ``repro report`` (:mod:`repro.obs.report`) renders the
-file back into the Fig. 7(a)-style tables.
+:meth:`TelemetrySession.stream_to` writes them while the run is in
+flight (the CLI's ``--telemetry-out``); :meth:`TelemetrySession.save`
+writes a finished session in one go (the bench harness).  ``repro
+report`` (:mod:`repro.obs.report`) renders the file back into the
+Fig. 7(a)-style tables.
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
-from typing import Any, IO
+from typing import Any
 
 from repro.memsim.trace import CostTrace
+from repro.obs.live import CLOSED_RECORD_TYPE, TelemetryStream
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import SpanTracer
 
 #: Schema version stamped into every meta record.
 TELEMETRY_VERSION = 1
-
-
-class JsonlSink:
-    """Streaming JSON-Lines writer for telemetry records."""
-
-    def __init__(self, path: str | Path) -> None:
-        self.path = Path(path)
-        self._handle: IO[str] | None = self.path.open("w", encoding="utf-8")
-        self.n_records = 0
-
-    def emit(self, record: dict[str, Any]) -> None:
-        """Append one record (must be JSON-serializable)."""
-        if self._handle is None:
-            raise ValueError(f"sink {self.path} is closed")
-        if "type" not in record:
-            raise ValueError(f"telemetry records need a 'type' field: {record}")
-        self._handle.write(json.dumps(record, sort_keys=True) + "\n")
-        self.n_records += 1
-
-    def emit_all(self, records: list[dict[str, Any]]) -> None:
-        """Append a batch of records."""
-        for record in records:
-            self.emit(record)
-
-    def close(self) -> None:
-        """Flush and close the underlying file."""
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-
-    def __enter__(self) -> "JsonlSink":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
-
-
-def read_jsonl(path: str | Path) -> list[dict[str, Any]]:
-    """Load every record of a telemetry file."""
-    records = []
-    with Path(path).open("r", encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError as exc:
-                raise ValueError(
-                    f"{path}:{line_no}: invalid telemetry record: {exc}"
-                ) from exc
-    return records
 
 
 class TelemetrySession:
@@ -106,55 +56,61 @@ class TelemetrySession:
         self.meta = dict(meta or {})
         self._traces: dict[str, CostTrace] = {}
         self._events: list[dict[str, Any]] = []
-        self._stream: Any | None = None
+        self._stream: TelemetryStream | None = None
 
     @property
-    def stream(self):
-        """The live :class:`~repro.obs.live.TelemetryStream`, if any."""
+    def stream(self) -> TelemetryStream | None:
+        """The open :class:`~repro.obs.live.TelemetryStream`, if any."""
         return self._stream
 
-    def stream_to(self, path: str | Path, flush_every: int = 20):
-        """Switch the session into streaming mode.
+    def stream_to(
+        self, path: str | Path, flush_every: int = 20
+    ) -> TelemetryStream:
+        """Stream the session to ``path`` from now until :meth:`close_stream`.
 
-        Opens a live :class:`~repro.obs.live.TelemetryStream` at
-        ``path`` and wires the session to it: the meta record is
-        written immediately, every span is appended the moment it
-        finishes (via a tracer listener), and events forward as they
-        are recorded.  The tracer's ``live_path`` is set so kernel
-        executors can point worker processes at sibling stream files.
-        Call :meth:`close_stream` for the final metrics + manifest;
-        a crash before that still leaves every flushed record behind.
+        The meta record is written immediately, every span is appended
+        the moment it finishes (via a tracer listener), and events
+        forward as they are recorded.  The tracer's ``live_path`` is set
+        so kernel executors can point worker processes at sibling
+        stream files.  A crash before :meth:`close_stream` still leaves
+        every flushed record behind.
         """
-        from repro.obs.live import TelemetryStream
-
         if self._stream is not None:
             raise ValueError("session is already streaming")
         stream = TelemetryStream(
-            path,
-            flush_every=flush_every,
-            role="coordinator",
-            trace_id=self.tracer.trace_id,
+            path, flush_every=flush_every, trace_id=self.tracer.trace_id
         )
-        stream.emit(
-            {
-                "type": "meta",
-                "telemetry_version": TELEMETRY_VERSION,
-                **self.meta,
-            }
-        )
+        stream.emit(self._meta_record())
         self.tracer.add_listener(lambda span: stream.emit(span.to_record()))
         self.tracer.live_path = str(stream.path)
         self._stream = stream
         return stream
 
     def close_stream(self) -> Path | None:
-        """Finish the live stream: metrics, cost traces, manifest, close.
+        """Finish the stream: metrics, cost traces, manifest, close.
 
         Returns the stream path, or None when not streaming.
         """
         if self._stream is None:
             return None
         stream = self._stream
+        self._finish(stream)
+        self._stream = None
+        self.tracer.live_path = None
+        return stream.path
+
+    def save(self, path: str | Path) -> Path:
+        """Write the session so far as one closed telemetry stream."""
+        stream = TelemetryStream(path, trace_id=self.tracer.trace_id)
+        for record in [
+            self._meta_record(), *self.tracer.to_records(), *self._events
+        ]:
+            stream.emit(record)
+        self._finish(stream)
+        return stream.path
+
+    def _finish(self, stream: TelemetryStream) -> None:
+        """Append the closing records to ``stream`` and close it."""
         for record in self.metrics.to_records():
             stream.emit(record)
         for name, trace in sorted(self._traces.items()):
@@ -162,11 +118,15 @@ class TelemetrySession:
                 {"type": "cost_trace", "name": name, **trace.to_dict()}
             )
         stream.emit(self.manifest().to_record())
-        stream.emit({"type": "stream_closed", "n_records": stream.n_records})
+        stream.emit(
+            {"type": CLOSED_RECORD_TYPE, "n_records": stream.n_records}
+        )
         stream.close()
-        self._stream = None
-        self.tracer.live_path = None
-        return stream.path
+
+    def _meta_record(self) -> dict[str, Any]:
+        return {
+            "type": "meta", "telemetry_version": TELEMETRY_VERSION, **self.meta
+        }
 
     def add_cost_trace(self, name: str, trace: CostTrace) -> None:
         """Attach a named cost ledger (merged if the name repeats)."""
@@ -182,7 +142,7 @@ class TelemetrySession:
         return self._traces.get(name)
 
     def event(self, name: str, **fields: Any) -> None:
-        """Record a free-form instant event (forwarded live if streaming)."""
+        """Record a free-form instant event (streamed if streaming)."""
         record = {
             "type": "event",
             "name": name,
@@ -214,13 +174,13 @@ class TelemetrySession:
         )
 
     def records(self) -> list[dict[str, Any]]:
-        """All records of this session: meta, then the run manifest."""
+        """All records of this session, in the order a loaded file has them.
+
+        Meta, manifest, spans, metrics, cost traces, events — the shape
+        :func:`~repro.obs.live.load_records` returns.
+        """
         out: list[dict[str, Any]] = [
-            {
-                "type": "meta",
-                "telemetry_version": TELEMETRY_VERSION,
-                **self.meta,
-            },
+            self._meta_record(),
             self.manifest().to_record(),
         ]
         out.extend(self.tracer.to_records())
@@ -229,22 +189,3 @@ class TelemetrySession:
             out.append({"type": "cost_trace", "name": name, **trace.to_dict()})
         out.extend(self._events)
         return out
-
-    def snapshot(self) -> dict[str, Any]:
-        """In-memory dict form: spans, metric values, ledger breakdowns."""
-        return {
-            "meta": dict(self.meta),
-            "spans": self.tracer.to_records(),
-            "metrics": self.metrics.snapshot(),
-            "cost_traces": {
-                name: trace.to_dict() for name, trace in sorted(self._traces.items())
-            },
-            "events": list(self._events),
-        }
-
-    def save(self, path: str | Path) -> Path:
-        """Write the session as a JSONL telemetry file."""
-        path = Path(path)
-        with JsonlSink(path) as sink:
-            sink.emit_all(self.records())
-        return path

@@ -52,7 +52,7 @@ _UID_COUNTER = itertools.count()
 def next_forensic_uid() -> str:
     """Process-unique id for one forensic node.
 
-    Multi-process merges (:func:`repro.obs.live.merge_streams`) dedup on
+    Multi-process merges (:func:`repro.obs.live.load_records`) dedup on
     this, exactly like worker ``span`` payloads dedup on their
     ``attributes.uid``.
     """

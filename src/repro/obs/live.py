@@ -1,29 +1,23 @@
-"""Cross-process streaming telemetry: the live bus behind ``repro top``.
+"""The one telemetry file format: an append-only, crash-tolerant stream.
 
-Three cooperating pieces:
+Every telemetry file (``--telemetry-out``, the bench helpers'
+:meth:`~repro.obs.export.TelemetrySession.save`, the chaos benches) is a
+:class:`TelemetryStream`: JSON Lines opening with a ``stream_meta``
+header, growing while the run is in flight (meta, spans as they finish,
+events, snapshots) and, on a clean exit, ending with metrics, cost
+traces, the run manifest and ``stream_closed``.  Worker processes
+append to sibling files (``<stream>.w<pid>``).  :func:`load_records` is
+the one reader: it merges the sibling files read by :func:`read_stream`
+into the canonical :meth:`~repro.obs.export.TelemetrySession.records`
+shape every ``repro`` command consumes.  :class:`TraceContext` carries
+the trace coordinates into worker processes; the ops view
+(:class:`StreamFollower`, :func:`build_top_frame`, :func:`render_prom`)
+is what ``repro top`` renders.
 
-- :class:`TraceContext` — the trace coordinates (trace id, parent span
-  id, live-stream path) a coordinator hands to out-of-process work so
-  worker spans join its trace.  It is a tiny frozen dataclass so it
-  crosses the multiprocessing queue as-is.
-- :class:`TelemetryStream` — an append-only JSONL event stream written
-  incrementally with periodic flush.  The coordinator streams spans,
-  events and snapshots as they happen; each worker process appends to a
-  sibling file (``<stream>.w<pid>``) so a crash loses at most the
-  unflushed tail of one file, never the run.  :func:`merge_streams`
-  stitches coordinator + worker streams back into one export in the
-  :meth:`~repro.obs.export.TelemetrySession.records` shape, so
-  ``repro diff`` / ``repro profile`` / ``repro report`` work unchanged
-  on merged streams.
-- The ops view — :func:`build_top_frame` folds a stream's latest
-  ``serve_snapshot`` (or final metrics) into the dashboard numbers
-  ``repro top`` renders, and :func:`render_prom` emits the same state
-  as Prometheus text exposition for scraping.
-
-Readers are deliberately forgiving: a process killed mid-``write`` tears
-the last line of its stream, so :func:`read_stream` and
-:class:`StreamFollower` skip partial/corrupt lines instead of raising
-the way :func:`~repro.obs.export.read_jsonl` does on curated exports.
+The reader is strict except where a crash forces tolerance: the first
+line must be a ``stream_meta`` header and every line must decode, except
+the last line of a stream without ``stream_closed`` — the torn record of
+a writer killed mid-``write``, or of a file still being written.
 """
 
 from __future__ import annotations
@@ -42,6 +36,9 @@ STREAM_VERSION = 1
 
 #: Record type of the periodic serving snapshot on a live stream.
 SNAPSHOT_RECORD_TYPE = "serve_snapshot"
+
+#: Record type of the header every stream file opens with.
+META_RECORD_TYPE = "stream_meta"
 
 #: Record type marking a cleanly closed stream.
 CLOSED_RECORD_TYPE = "stream_closed"
@@ -64,7 +61,7 @@ class TraceContext:
         trace_id: the coordinator tracer's run-wide trace id.
         parent_span_id: span id the foreign spans should parent under
             (the coordinator's open ``spmm`` span).
-        live_path: coordinator's live stream path, if streaming — each
+        live_path: coordinator's telemetry stream path, if any — each
             worker appends its spans to ``<live_path>.w<pid>``.
     """
 
@@ -152,7 +149,8 @@ class TelemetryStream:
     ``flush_every`` records (``1`` = flush each record), so a follower
     sees progress while the run is live and a crash loses at most the
     unflushed tail.  The first record is always a ``stream_meta`` header
-    identifying the writing process and trace.
+    identifying the writing process and trace, flushed at once so the
+    file is a valid stream from the moment it exists.
     """
 
     def __init__(
@@ -174,13 +172,14 @@ class TelemetryStream:
         self._handle = self.path.open("w", encoding="utf-8")
         self.emit(
             {
-                "type": "stream_meta",
+                "type": META_RECORD_TYPE,
                 "stream_version": STREAM_VERSION,
                 "role": role,
                 "pid": os.getpid(),
                 "trace_id": trace_id,
             }
         )
+        self.flush()
 
     @property
     def closed(self) -> bool:
@@ -220,30 +219,44 @@ class TelemetryStream:
 
 
 def read_stream(path: str | Path) -> tuple[list[dict[str, Any]], int]:
-    """Read a stream file, tolerating a torn or corrupt line.
+    """Read one stream file, skipping only a torn tail.
 
-    A process killed mid-write leaves a partial final line; a tolerant
-    reader is what makes the stream crash-tolerant.  Returns
-    ``(records, n_skipped)`` where ``n_skipped`` counts undecodable
-    lines (typically 0 or 1).
+    Raises :class:`ValueError` naming ``path:line`` when the first line
+    is not a ``stream_meta`` header, or when a line does not decode to a
+    JSON object — unless it is the last line of a stream that has not
+    written ``stream_closed`` (a writer killed mid-record, or a file
+    still being written).  Returns ``(records, n_skipped)``, where
+    ``n_skipped`` is 1 for a skipped torn tail and 0 otherwise.
     """
-    records: list[dict[str, Any]] = []
-    skipped = 0
     text = Path(path).read_text(encoding="utf-8", errors="replace")
-    for line in text.split("\n"):
-        line = line.strip()
-        if not line:
-            continue
+    lines = [
+        (line_no, line)
+        for line_no, raw in enumerate(text.split("\n"), start=1)
+        if (line := raw.strip())
+    ]
+    if not lines:
+        raise ValueError(f"{path}:1: empty file, expected stream_meta header")
+    records: list[dict[str, Any]] = []
+    closed = False
+    for index, (line_no, line) in enumerate(lines):
         try:
             record = json.loads(line)
-        except json.JSONDecodeError:
-            skipped += 1
-            continue
-        if isinstance(record, dict):
-            records.append(record)
-        else:
-            skipped += 1
-    return records, skipped
+        except json.JSONDecodeError as exc:
+            if index == len(lines) - 1 and index > 0 and not closed:
+                return records, 1
+            raise ValueError(
+                f"{path}:{line_no}: invalid telemetry record: {exc}"
+            ) from exc
+        if not isinstance(record, dict):
+            raise ValueError(f"{path}:{line_no}: record is not a JSON object")
+        if index == 0 and record.get("type") != META_RECORD_TYPE:
+            raise ValueError(
+                f"{path}:{line_no}: expected a stream_meta header,"
+                f" got {record.get('type')!r}"
+            )
+        closed = closed or record.get("type") == CLOSED_RECORD_TYPE
+        records.append(record)
+    return records, 0
 
 
 class StreamFollower:
@@ -257,6 +270,8 @@ class StreamFollower:
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
         self.records: list[dict[str, Any]] = []
+        #: True once the writer emitted its ``stream_closed`` sentinel.
+        self.closed = False
         self._offset = 0
         self._tail = ""
 
@@ -283,15 +298,9 @@ class StreamFollower:
                 continue
             if isinstance(record, dict):
                 fresh.append(record)
+                self.closed |= record.get("type") == CLOSED_RECORD_TYPE
         self.records.extend(fresh)
         return fresh
-
-    @property
-    def closed(self) -> bool:
-        """True once the writer emitted its ``stream_closed`` sentinel."""
-        return any(
-            r.get("type") == CLOSED_RECORD_TYPE for r in self.records
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -309,15 +318,15 @@ def worker_stream_paths(path: str | Path) -> list[Path]:
     )
 
 
-def merge_streams(path: str | Path) -> list[dict[str, Any]]:
-    """Stitch a coordinator stream and its worker siblings into one export.
+def load_records(path: str | Path) -> list[dict[str, Any]]:
+    """Load a telemetry file: the one reader behind every ``repro`` command.
 
-    Returns records in the canonical session export shape (meta,
-    manifest, spans in id order, metrics, cost traces, events) followed
-    by the stream-only records (snapshots, stream markers), so the
-    existing observatory — ``repro diff``, ``repro profile``,
-    ``repro report`` — consumes a merged stream exactly like a buffered
-    export.
+    Reads the coordinator stream and its worker siblings with
+    :func:`read_stream` (so a malformed file raises with its
+    ``path:line``) and stitches them into one record list in the
+    canonical session shape (meta, manifest, spans in id order,
+    metrics, cost traces, events) followed by the stream-only records
+    (snapshots, stream markers).
 
     Worker spans already adopted by the coordinator (they travel both
     over the result queue and through the worker's own stream file) are
@@ -435,47 +444,11 @@ def _synthesize_manifest(
     return record
 
 
-def is_stream_file(path: str | Path) -> bool:
-    """Does this file start with a ``stream_meta`` header record?
-
-    Only the first line is inspected — stream writers emit the header
-    before anything else, and torn writes only ever affect the tail.
-    """
-    try:
-        with Path(path).open("r", encoding="utf-8", errors="replace") as fh:
-            first = fh.readline().strip()
-    except OSError:
-        return False
-    if not first:
-        return False
-    try:
-        record = json.loads(first)
-    except json.JSONDecodeError:
-        return False
-    return isinstance(record, dict) and record.get("type") == "stream_meta"
-
-
-def load_records(path: str | Path) -> list[dict[str, Any]]:
-    """Load telemetry records from an export *or* a live stream.
-
-    Streams (identified by their ``stream_meta`` header) are merged with
-    their worker siblings, tolerating a torn final line — their writer
-    may have crashed mid-record, by design.  Plain exports are written
-    atomically, so they keep the strict :func:`read_jsonl` contract:
-    corruption raises with the offending line's location.
-    """
-    if is_stream_file(path):
-        return merge_streams(path)
-    from repro.obs.export import read_jsonl
-
-    return read_jsonl(path)
-
-
 def progress_line(record: dict[str, Any]) -> str | None:
     """One human-readable progress line for a live-stream record.
 
     The ``--follow`` mode of ``repro embed`` / ``repro compare`` tails
-    its own ``--live`` stream and prints these as the run advances:
+    its own ``--telemetry-out`` file and prints these as the run advances:
     completed pipeline stages (coarse spans only — worker partition
     spans would flood the terminal), shard events from the resilience
     layer, and run-level events.  Returns ``None`` for records that

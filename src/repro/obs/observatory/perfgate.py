@@ -94,10 +94,9 @@ def run_suite(
     ``faults_path`` loads a :class:`~repro.faults.FaultPlan` into the
     run (the chaos hook the acceptance test uses to derate PM bandwidth
     and watch the gate catch it).  ``live_path`` streams the telemetry
-    incrementally to a JSONL file while the suite runs (the ``repro
-    perf-gate --live`` path CI tails and uploads); the stream is closed
-    before the run returns, so the file is a complete merged-readable
-    export.
+    to a file while the suite runs (``repro perf-gate --telemetry-out``,
+    the file CI reads with ``repro top`` and uploads); the stream is
+    closed before the run returns.
     """
     import numpy as np
 

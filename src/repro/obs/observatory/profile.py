@@ -5,8 +5,9 @@ flamegraph-style tree: nodes are span *paths* (the stack of span names
 from the root), carrying call counts plus total and self time on both
 clocks.  ``collapsed_stacks`` emits the standard collapsed-stack text
 format (``root;child;leaf <count>``) consumable by flamegraph.pl,
-speedscope, inferno et al.; ``hot_spans`` ranks nodes by self time for
-the ``repro report`` hot-span table.
+speedscope, inferno et al.; ``hot_spans`` ranks nodes by self time on
+either clock for the ``repro report`` / ``repro profile`` hot-span
+tables.
 
 Simulated-time accounting is interval based.  The tracer's sim cursor
 is monotonic, so a genuinely nested span's ``[sim_start, sim_end]``
@@ -192,12 +193,17 @@ def parse_collapsed(text: str, unit: float = 1e-9) -> dict[tuple[str, ...], floa
     return out
 
 
-def hot_spans(profile: ProfileNode, top_n: int = 10) -> list[ProfileNode]:
-    """The ``top_n`` nodes by simulated self time, hottest first.
+def hot_spans(
+    profile: ProfileNode, top_n: int = 10, clock: str = "sim"
+) -> list[ProfileNode]:
+    """The ``top_n`` nodes by self time on ``clock``, hottest first.
 
     The synthetic root is excluded; ties break toward shallower paths
     so the ordering is deterministic.
     """
+    if clock not in ("sim", "wall"):
+        raise ValueError(f"clock must be 'sim' or 'wall', got {clock!r}")
+    attr = f"{clock}_self"
     nodes = [node for node in profile.walk() if node.path != (ROOT_NAME,)]
-    nodes.sort(key=lambda n: (-n.sim_self, len(n.path), n.path))
+    nodes.sort(key=lambda n: (-getattr(n, attr), len(n.path), n.path))
     return nodes[:top_n]

@@ -26,7 +26,6 @@ from pathlib import Path
 from typing import Any, Callable
 
 from repro.memsim.trace import SPMM_CATEGORIES, CostTrace
-from repro.obs.export import read_jsonl
 
 
 def _formatters() -> tuple[Callable, Callable]:
@@ -257,11 +256,11 @@ def render_report(records: list[dict[str, Any]]) -> str:
 
 
 def render_report_file(path: str | Path) -> str:
-    """Load a telemetry JSONL file and render its report.
+    """Load a telemetry file and render its report.
 
-    Live streams load through :func:`repro.obs.live.load_records`, so a
-    stream that was cut mid-run (torn last line, sibling worker files)
-    still renders instead of raising.
+    Loads through :func:`repro.obs.live.load_records`, so a stream that
+    was cut mid-run (torn last line, sibling worker files) still renders
+    while a corrupt one raises with its ``path:line``.
     """
     from repro.obs.live import load_records
 

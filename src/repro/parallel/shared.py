@@ -48,7 +48,7 @@ Design invariants:
   and error acks too, so partition telemetry survives the
   :class:`WorkerCrashError` path.  With a live stream attached, workers
   additionally append their spans to sibling stream files
-  (``<stream>.w<pid>``) that :func:`~repro.obs.live.merge_streams`
+  (``<stream>.w<pid>``) that :func:`~repro.obs.live.load_records`
   stitches back together even if the coordinator never gets the ack.
 
 The pool is lazy (no processes are spawned until the first dispatched

@@ -3,7 +3,7 @@
 The load-bearing assertion (ISSUE 1 acceptance): an instrumented
 ``OMeGaEmbedder.embed`` emits the five ``SPMM_CATEGORIES`` summary spans
 and their simulated seconds agree with ``CostTrace.breakdown()`` to
-1e-9 — both in memory and after a JSONL round trip.
+1e-9 — both in memory and after a round trip through a telemetry file.
 """
 
 import numpy as np
@@ -20,8 +20,8 @@ from repro.obs import (
     MetricsRegistry,
     SpanTracer,
     TelemetrySession,
+    load_records,
     merged_cost_trace,
-    read_jsonl,
     render_report,
     spmm_step_breakdown,
     split_records,
@@ -148,7 +148,7 @@ class TestExportAndReport:
     def test_jsonl_round_trip_preserves_breakdown(self, tmp_path, small_edges):
         session, result = instrumented_embed(small_edges)
         path = session.save(tmp_path / "t.jsonl")
-        records = read_jsonl(path)
+        records = load_records(path)
         groups = split_records(records)
         assert groups["meta"][0]["telemetry_version"] == 1
         assert groups["span"] and groups["metric"] and groups["cost_trace"]
@@ -161,7 +161,7 @@ class TestExportAndReport:
     def test_spmm_step_breakdown_matches(self, tmp_path, small_edges):
         session, result = instrumented_embed(small_edges)
         path = session.save(tmp_path / "t.jsonl")
-        breakdown = spmm_step_breakdown(read_jsonl(path))
+        breakdown = spmm_step_breakdown(load_records(path))
         for category in SPMM_CATEGORIES:
             assert breakdown[category] == pytest.approx(
                 result.trace.seconds(category), abs=1e-9
@@ -170,7 +170,7 @@ class TestExportAndReport:
     def test_render_report_contains_tables(self, tmp_path, small_edges):
         session, _ = instrumented_embed(small_edges)
         path = session.save(tmp_path / "t.jsonl")
-        text = render_report(read_jsonl(path))
+        text = render_report(load_records(path))
         assert "SpMM step breakdown" in text
         for category in SPMM_CATEGORIES:
             assert category in text
@@ -184,16 +184,29 @@ class TestExportAndReport:
         restored = merged_cost_trace(tracer.to_records())
         assert restored.total_seconds == pytest.approx(5.0)
 
-    def test_empty_file_reports_gracefully(self, tmp_path):
-        path = tmp_path / "empty.jsonl"
-        path.write_text("")
-        assert "no spans" in render_report(read_jsonl(path))
+    def test_streamed_session_matches_in_memory_ledger(
+        self, tmp_path, small_edges
+    ):
+        session = TelemetrySession(meta={"test": "integration"})
+        path = tmp_path / "t.jsonl"
+        session.stream_to(path)
+        embedder = OMeGaEmbedder(
+            OMeGaConfig(n_threads=4, dim=8),
+            tracer=session.tracer,
+            metrics=session.metrics,
+        )
+        result = embedder.embed_edges(small_edges, 300)
+        session.add_cost_trace("embed", result.trace)
+        session.close_stream()
+        breakdown = spmm_step_breakdown(load_records(path))
+        for category in SPMM_CATEGORIES:
+            assert breakdown[category] == pytest.approx(
+                result.trace.seconds(category), abs=1e-9
+            )
 
-    def test_invalid_jsonl_rejected(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text("{not json}\n")
-        with pytest.raises(ValueError, match="invalid telemetry"):
-            read_jsonl(path)
+    def test_empty_file_reports_gracefully(self, tmp_path):
+        path = TelemetrySession().save(tmp_path / "empty.jsonl")
+        assert "no spans" in render_report(load_records(path))
 
 
 class TestCliTelemetry:
@@ -210,7 +223,7 @@ class TestCliTelemetry:
         assert code == 0
         assert "telemetry written" in capsys.readouterr().out
         # Acceptance: report totals agree with the exported ledger.
-        records = read_jsonl(out)
+        records = load_records(out)
         breakdown = spmm_step_breakdown(records)
         (ledger,) = split_records(records)["cost_trace"]
         for category in SPMM_CATEGORIES:
@@ -236,7 +249,7 @@ class TestCliTelemetry:
             ["spmm", str(graph), "--threads", "2", "--telemetry-out", str(out)]
         )
         assert code == 0
-        names = {s["name"] for s in split_records(read_jsonl(out))["span"]}
+        names = {s["name"] for s in split_records(load_records(out))["span"]}
         assert "spmm" in names
 
 

@@ -156,6 +156,61 @@ class TestTracePropagation:
         assert all(p["parent_id"] == 7 for p in sink)
 
 
+def _write_lines(path, *lines):
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return path
+
+
+HEADER = json.dumps({"type": "stream_meta", "pid": 1})
+SPAN = json.dumps({"type": "span", "name": "a"})
+CLOSED = json.dumps({"type": "stream_closed"})
+
+
+class TestReaderContract:
+    def test_file_without_header_rejected(self, tmp_path):
+        path = _write_lines(tmp_path / "bare.jsonl", SPAN, SPAN)
+        with pytest.raises(ValueError, match=r"bare\.jsonl:1: .*stream_meta"):
+            load_records(path)
+
+    def test_empty_file_rejected(self, tmp_path):
+        path = _write_lines(tmp_path / "empty.jsonl")
+        with pytest.raises(ValueError, match=r"empty\.jsonl:1"):
+            load_records(path)
+
+    def test_corrupt_middle_line_names_its_line(self, tmp_path):
+        path = _write_lines(
+            tmp_path / "bad.jsonl", HEADER, SPAN, "{not json}", SPAN
+        )
+        with pytest.raises(ValueError, match=r"bad\.jsonl:3: invalid"):
+            load_records(path)
+
+    def test_non_object_line_rejected(self, tmp_path):
+        path = _write_lines(tmp_path / "list.jsonl", HEADER, "[1, 2]", SPAN)
+        with pytest.raises(ValueError, match=r"list\.jsonl:2"):
+            load_records(path)
+
+    def test_torn_tail_of_unclosed_stream_loads(self, tmp_path):
+        path = _write_lines(
+            tmp_path / "cut.jsonl", HEADER, SPAN, '{"type": "sp'
+        )
+        records = load_records(path)
+        assert [r["name"] for r in records if r["type"] == "span"] == ["a"]
+        (manifest,) = [r for r in records if r["type"] == "manifest"]
+        assert manifest["synthesized"] is True
+
+    def test_torn_tail_after_stream_closed_rejected(self, tmp_path):
+        path = _write_lines(
+            tmp_path / "closed.jsonl", HEADER, SPAN, CLOSED, '{"type": "sp'
+        )
+        with pytest.raises(ValueError, match=r"closed\.jsonl:4"):
+            load_records(path)
+
+    def test_torn_header_rejected(self, tmp_path):
+        path = _write_lines(tmp_path / "torn.jsonl", '{"type": "stream_me')
+        with pytest.raises(ValueError, match=r"torn\.jsonl:1"):
+            load_records(path)
+
+
 class TestStreamReaders:
     def test_read_stream_tolerates_torn_last_line(self, tmp_path):
         path = tmp_path / "cut.jsonl"
@@ -278,7 +333,7 @@ class TestTopView:
                 "2",
                 "--dim",
                 "8",
-                "--live",
+                "--telemetry-out",
                 str(stream),
             ]
         )

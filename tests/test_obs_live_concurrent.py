@@ -4,7 +4,7 @@ Two real writer processes append sibling streams (``<stream>.w<n>``)
 while the coordinator stream carries copies of some of their records —
 the double-delivery shape of the live bus, where a worker's payload
 travels both over the result queue (re-emitted by the coordinator) and
-through the worker's own crash-tolerant file.  ``merge_streams`` must
+through the worker's own crash-tolerant file.  ``load_records`` must
 count every forensic span exactly once: duplicates collapse on the
 top-level ``uid``, worker-only orphans (the coordinator died first)
 are grafted in, and nothing is dropped.
@@ -21,7 +21,7 @@ from repro.obs.forensics import FORENSIC_RECORD_TYPE, fold_stream
 from repro.obs.live import (
     StreamFollower,
     TelemetryStream,
-    merge_streams,
+    load_records,
     worker_stream_paths,
 )
 
@@ -110,7 +110,7 @@ class TestConcurrentWriters:
         self, concurrent_streams
     ):
         assert len(worker_stream_paths(concurrent_streams)) == 2
-        merged = merge_streams(concurrent_streams)
+        merged = load_records(concurrent_streams)
         forensic = [
             r for r in merged if r.get("type") == FORENSIC_RECORD_TYPE
         ]
@@ -125,7 +125,7 @@ class TestConcurrentWriters:
         assert set(uids) == expected, "dropped forensic span"
 
     def test_merged_trees_fold_and_verify(self, concurrent_streams):
-        report = fold_stream(merge_streams(concurrent_streams))
+        report = fold_stream(load_records(concurrent_streams))
         assert report.n_requests == 2 * N_TREES
         assert report.verify() == []
         # Every tree kept both its nodes through the merge.

@@ -105,6 +105,7 @@ class TestRenderReportAdversarial:
 
         path = tmp_path / "t.jsonl"
         rows = [
+            {"type": "stream_meta"},
             {"type": "meta", "graph": "PK"},
             {"type": "span", "name": "op", "sim_seconds": 1.0,
              "wall_seconds": 0.0},
@@ -116,7 +117,10 @@ class TestRenderReportAdversarial:
 
     def test_invalid_jsonl_raises_with_location(self, tmp_path):
         path = tmp_path / "bad.jsonl"
-        path.write_text('{"type": "meta"}\nnot json\n', encoding="utf-8")
+        path.write_text(
+            '{"type": "stream_meta"}\nnot json\n{"type": "meta"}\n',
+            encoding="utf-8",
+        )
         with pytest.raises(ValueError, match="bad.jsonl:2"):
             render_report_file(path)
 

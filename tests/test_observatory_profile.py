@@ -202,3 +202,44 @@ class TestHotSpans:
 
     def test_top_n_clamps(self):
         assert hot_spans(build_profile([]), top_n=5) == []
+
+    def _disagreeing_tracer(self):
+        """'sim_hot' leads on the simulated clock, 'wall_hot' on the wall."""
+        tracer = SpanTracer()
+        for name, sim, wall in (
+            ("sim_hot", 3.0, 0.001), ("wall_hot", 0.0, 2.0), ("mid", 1.0, 1.0)
+        ):
+            tracer.record(
+                name, sim_seconds=sim, wall_seconds=wall, advance=True
+            )
+        return tracer
+
+    def test_ranks_by_requested_clock(self):
+        profile = build_profile(_spans(self._disagreeing_tracer()))
+        by_sim = [n.name for n in hot_spans(profile, top_n=1)]
+        by_wall = [n.name for n in hot_spans(profile, top_n=1, clock="wall")]
+        assert by_sim == ["sim_hot"]
+        assert by_wall == ["wall_hot"]
+        with pytest.raises(ValueError, match="clock"):
+            hot_spans(profile, clock="cpu")
+
+    def test_cli_profile_wall_clock_table(self, tmp_path, capsys):
+        from repro.cli import main
+
+        session = TelemetrySession(tracer=self._disagreeing_tracer())
+        path = session.save(tmp_path / "t.jsonl")
+        capsys.readouterr()
+        assert main(
+            ["profile", str(path), "--clock", "wall", "--top", "1"]
+        ) == 0
+        out = capsys.readouterr().out
+        header = out.splitlines()[1]
+        assert header.index("wall self") < header.index("sim self")
+        assert "wall_hot" in out
+        assert "sim_hot" not in out
+        assert main(["profile", str(path), "--top", "1"]) == 0
+        out = capsys.readouterr().out
+        header = out.splitlines()[1]
+        assert header.index("sim self") < header.index("wall self")
+        assert "sim_hot" in out
+        assert "wall_hot" not in out
