@@ -57,6 +57,31 @@ def record_prefetch_metrics(
         ).observe(plan.hit_fraction)
 
 
+def top_k_descending(values: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the ``k`` largest ``values``, largest first, ties by index.
+
+    The same indices in the same order as
+    ``np.argsort(-values, kind="stable")[:k]``, without sorting all of
+    ``values``: each value is folded with its index into one unique
+    ``int64`` key (rank descending, index ascending), a partition picks
+    the ``k`` smallest keys, and only those are sorted.  ``values`` are
+    non-negative integers; the key stays in range while
+    ``max(values) * len(values)`` does, which holds for the counts and
+    in-degrees of any matrix whose ``n_rows * n_cols`` fits in int64.
+    """
+    n = len(values)
+    k = min(k, n)
+    if k <= 0:
+        return np.empty(0, dtype=np.int64)
+    key = np.subtract(values.max(), values, dtype=np.int64)
+    key *= n
+    key += np.arange(n, dtype=np.int64)
+    if k < n:
+        key = np.partition(key, k - 1)[:k]
+    key.sort()
+    return key % n
+
+
 @dataclass(frozen=True)
 class PrefetchPlan:
     """Prefetch decisions for one workload.
@@ -185,7 +210,7 @@ class WorkloadPrefetcher:
         reserved: int,
         workload: int,
     ) -> PrefetchPlan:
-        top = np.argsort(-counts, kind="stable")[:capacity]
+        top = top_k_descending(counts, capacity)
         hot = distinct[top]
         hits = float(counts[top].sum())
         return PrefetchPlan(
@@ -210,7 +235,7 @@ class WorkloadPrefetcher:
         # Rank the workload's distinct columns by *global* in-degree: the
         # static proxy the paper uses when per-workload counting would not
         # pay for itself.
-        top = np.argsort(-col_degrees[distinct], kind="stable")[:capacity]
+        top = top_k_descending(col_degrees[distinct], capacity)
         hot = distinct[top]
         hits = float(counts[top].sum())
         return PrefetchPlan(

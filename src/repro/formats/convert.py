@@ -28,6 +28,14 @@ def edges_to_csr(
         weights: optional edge weights; defaults to 1 (the paper's
             initialization of ``nnz_list``).
         undirected: mirror each edge (the paper's graphs are undirected).
+
+    The mirrored ``(dst, src)`` half goes first.  For edges in canonical
+    order (``src < dst``, sorted by ``(src, dst)``, as
+    :func:`repro.graphs.rmat_edges` returns them) every row then reaches
+    scipy's stable COO->CSR already sorted and free of duplicates, so
+    the build skips the per-row sort (see :meth:`CSRMatrix.from_coo`).
+    Any other input still comes out summed and sorted, with the same
+    arrays.
     """
     edges = np.asarray(edges, dtype=np.int64)
     if edges.ndim != 2 or edges.shape[1] != 2:
@@ -40,7 +48,7 @@ def edges_to_csr(
         if len(weights) != len(edges):
             raise ValueError("weights length must match edges")
     if undirected:
-        src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
+        src, dst = np.concatenate([dst, src]), np.concatenate([src, dst])
         weights = np.concatenate([weights, weights])
     return CSRMatrix.from_coo(src, dst, weights, (n_nodes, n_nodes))
 

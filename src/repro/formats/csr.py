@@ -93,6 +93,10 @@ class CSRMatrix:
         entries are summed when ``sum_duplicates`` (in an unspecified
         order, so three or more non-integer duplicates may round
         differently from a left-to-right sum) and kept otherwise.
+
+        scipy's COO->CSR keeps input order within a row, so triplets
+        whose columns already ascend within each row (canonical input)
+        are checked by one O(nnz) scan and never sorted.
         """
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)

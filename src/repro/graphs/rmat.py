@@ -30,7 +30,13 @@ def rmat_edges(
         deduplicate: drop self-loops and duplicate undirected edges.
 
     Returns:
-        (m, 2) int64 edge array over nodes ``[0, 2**scale)``.
+        (m, 2) int64 edge array over nodes ``[0, 2**scale)``.  With
+        ``deduplicate`` the rows are in canonical order: each row is
+        ``(lo, hi)`` with ``lo < hi`` (so no self-loops), rows are sorted
+        by ``(lo, hi)`` and no row repeats.  This is the order
+        :func:`repro.formats.convert.edges_to_csr` builds from without a
+        sort.  Without ``deduplicate`` the raw stream is returned
+        unchanged: one ``(src, dst)`` row per draw, in draw order.
     """
     if scale < 1:
         raise ValueError(f"scale must be >= 1, got {scale}")
@@ -40,23 +46,50 @@ def rmat_edges(
     n_nodes = 1 << scale
     n_edges = int(edge_factor * n_nodes)
     rng = np.random.default_rng(seed)
-    src = np.zeros(n_edges, dtype=np.int64)
-    dst = np.zeros(n_edges, dtype=np.int64)
-    # Vectorized bit-by-bit recursion: at every level each edge picks a
+    # Node ids accumulate in int32 while they fit (up to 2**31 nodes):
+    # half the memory traffic of int64 in the loop below.
+    ids = np.int32 if scale < 32 else np.int64
+    src = np.zeros(n_edges, dtype=ids)
+    dst = np.zeros(n_edges, dtype=ids)
+    r = np.empty(n_edges)
+    bottom = np.empty(n_edges, dtype=bool)
+    right = np.empty(n_edges, dtype=bool)
+    past = np.empty(n_edges, dtype=bool)
+    # Bit-by-bit recursion, in place: at every level each edge picks a
     # quadrant, setting one bit of the source and destination ids.
+    # Quadrants b and d are the right half; since the thresholds
+    # a <= a+b <= a+b+c are ordered, that is r >= a XOR r >= a+b XOR
+    # r >= a+b+c.  c and d are the bottom half, r >= a+b.
     for _ in range(scale):
-        r = rng.random(n_edges)
-        right = (r >= a) & (r < a + b) | (r >= a + b + c)  # quadrants b, d
-        bottom = r >= a + b  # quadrants c, d
-        src = (src << 1) | bottom.astype(np.int64)
-        dst = (dst << 1) | right.astype(np.int64)
+        rng.random(out=r)
+        np.greater_equal(r, a + b, out=bottom)
+        np.greater_equal(r, a, out=right)
+        right ^= bottom
+        np.greater_equal(r, a + b + c, out=past)
+        right ^= past
+        src <<= 1
+        src |= bottom
+        dst <<= 1
+        dst |= right
+    del r, bottom, right, past  # freed before the keys: a lower peak
     if not deduplicate:
-        return np.stack([src, dst], axis=1)
-    lo = np.minimum(src, dst)
-    hi = np.maximum(src, dst)
-    keep = lo != hi
-    lo, hi = lo[keep], hi[keep]
-    key = lo * np.int64(n_nodes) + hi
-    _, unique_idx = np.unique(key, return_index=True)
-    unique_idx.sort()
-    return np.stack([lo[unique_idx], hi[unique_idx]], axis=1)
+        return np.stack([src, dst], axis=1, dtype=np.int64)
+    # One sort of the undirected key lo * 2**scale + hi, then drop
+    # repeats by adjacent difference; the keys decode to (lo, hi) rows
+    # already in canonical order.
+    key = np.minimum(src, dst, dtype=np.int64)
+    np.maximum(src, dst, out=dst)
+    del src
+    key <<= scale
+    key |= dst
+    del dst
+    key.sort()
+    if len(key):
+        fresh = np.empty(len(key), dtype=bool)
+        fresh[0] = True
+        np.not_equal(key[1:], key[:-1], out=fresh[1:])
+        key = key[fresh]
+    edges = np.empty((len(key), 2), dtype=np.int64)
+    np.right_shift(key, scale, out=edges[:, 0])
+    np.bitwise_and(key, n_nodes - 1, out=edges[:, 1])
+    return edges[edges[:, 0] != edges[:, 1]]

@@ -68,6 +68,80 @@ class TestEdgeConversions:
         )
 
 
+def _scipy_summed_csr(edges, n_nodes, weights, undirected=True):
+    """scipy's summed COO->CSR over the edges in the order given,
+    forward half first — the build order before mirror-first."""
+    src, dst = edges[:, 0], edges[:, 1]
+    if undirected:
+        src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
+        weights = np.concatenate([weights, weights])
+    expected = sp.coo_matrix(
+        (weights, (src, dst)), shape=(n_nodes, n_nodes)
+    ).tocsr()
+    expected.sum_duplicates()
+    return expected
+
+
+def _build_order_edges(kind):
+    """Non-canonical edge lists: each reaches scipy with unsorted rows
+    or duplicate entries, so the build must still sort and sum."""
+    from repro.graphs import rmat_edges
+
+    rng = np.random.default_rng(8)
+    edges = rmat_edges(7, edge_factor=4.0, seed=6)
+    if kind == "canonical":
+        return edges
+    if kind == "shuffled":
+        return edges[rng.permutation(len(edges))]
+    if kind == "reversed":
+        return edges[:, ::-1].copy()
+    if kind == "duplicated":
+        picks = rng.integers(0, len(edges), len(edges) // 2)
+        both = np.concatenate([edges, edges[picks], edges[picks, ::-1]])
+        return both[rng.permutation(len(both))]
+    if kind == "self_loops":
+        loops = np.repeat(rng.integers(0, 128, 20)[:, None], 2, axis=1)
+        both = np.concatenate([edges, loops])
+        return both[rng.permutation(len(both))]
+    raise ValueError(kind)
+
+
+class TestBuildOrder:
+    """Mirror-first concatenation leaves the CSR/CSDB arrays unchanged
+    for any input order, not only for canonical R-MAT output."""
+
+    @pytest.mark.parametrize(
+        "kind",
+        ["canonical", "shuffled", "reversed", "duplicated", "self_loops"],
+    )
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("undirected", [True, False])
+    def test_equals_scipy_summed_csr(self, kind, weighted, undirected):
+        edges = _build_order_edges(kind)
+        if weighted:
+            # Multiples of 1/8 up to 4: every partial sum is exact, so
+            # any summation order of a duplicate gives the same bits.
+            rng = np.random.default_rng(len(edges))
+            weights = rng.integers(1, 33, len(edges)) / 8.0
+        else:
+            weights = np.ones(len(edges))
+        expected = _scipy_summed_csr(edges, 128, weights, undirected)
+        csr = edges_to_csr(
+            edges, 128, weights if weighted else None, undirected
+        )
+        assert np.array_equal(csr.indptr, expected.indptr)
+        assert np.array_equal(csr.indices, expected.indices)
+        assert np.array_equal(csr.data, expected.data)
+        exported = csdb_to_scipy(
+            edges_to_csdb(
+                edges, 128, weights if weighted else None, undirected
+            )
+        )
+        assert np.array_equal(exported.indptr, expected.indptr)
+        assert np.array_equal(exported.indices, expected.indices)
+        assert np.array_equal(exported.data, expected.data)
+
+
 class TestScipyInterop:
     def test_csr_roundtrip(self, skewed_csr):
         back = csr_from_scipy(csr_to_scipy(skewed_csr))

@@ -119,3 +119,92 @@ class TestRMAT:
         sparse = rmat_edges(10, edge_factor=4, seed=0)
         dense = rmat_edges(10, edge_factor=32, seed=0)
         assert len(dense) > 3 * len(sparse)
+
+
+def _rmat_first_occurrence(
+    scale, edge_factor, seed, a=0.57, b=0.19, c=0.19, deduplicate=True
+):
+    """The earlier ``rmat_edges``: a fresh array per level and
+    ``np.unique`` first-occurrence dedupe.  Kept as the reference the
+    in-place, sort-once generator is checked against."""
+    n_nodes = 1 << scale
+    n_edges = int(edge_factor * n_nodes)
+    rng = np.random.default_rng(seed)
+    src = np.zeros(n_edges, dtype=np.int64)
+    dst = np.zeros(n_edges, dtype=np.int64)
+    for _ in range(scale):
+        r = rng.random(n_edges)
+        right = (r >= a) & (r < a + b) | (r >= a + b + c)
+        bottom = r >= a + b
+        src = (src << 1) | bottom.astype(np.int64)
+        dst = (dst << 1) | right.astype(np.int64)
+    if not deduplicate:
+        return np.stack([src, dst], axis=1)
+    lo = np.minimum(src, dst)
+    hi = np.maximum(src, dst)
+    keep = lo != hi
+    lo, hi = lo[keep], hi[keep]
+    key = lo * np.int64(n_nodes) + hi
+    _, unique_idx = np.unique(key, return_index=True)
+    unique_idx.sort()
+    return np.stack([lo[unique_idx], hi[unique_idx]], axis=1)
+
+
+RMAT_CASES = [
+    (1, 1.0, 0),
+    (1, 16.0, 3),
+    (2, 0.0, 1),  # no draws at all: an empty result
+    (3, 2.0, 5),
+    (7, 4.0, 11),
+    (10, 8.0, 1),
+    (12, 12.0, 1009),
+]
+
+
+class TestRMATContract:
+    """Canonical order, and the same edge set as first-occurrence dedupe."""
+
+    @pytest.mark.parametrize("scale,edge_factor,seed", RMAT_CASES)
+    def test_same_edge_set_as_first_occurrence(
+        self, scale, edge_factor, seed
+    ):
+        got = rmat_edges(scale, edge_factor=edge_factor, seed=seed)
+        ref = _rmat_first_occurrence(scale, edge_factor, seed)
+        assert got.dtype == np.int64 and got.shape == (len(ref), 2)
+        assert set(map(tuple, got.tolist())) == set(map(tuple, ref.tolist()))
+
+    @pytest.mark.parametrize("scale,edge_factor,seed", RMAT_CASES)
+    def test_canonical_order(self, scale, edge_factor, seed):
+        edges = rmat_edges(scale, edge_factor=edge_factor, seed=seed)
+        lo, hi = edges[:, 0], edges[:, 1]
+        assert np.all(lo < hi)
+        assert np.all(np.diff(lo * (1 << scale) + hi) > 0)
+
+    @pytest.mark.parametrize("scale,edge_factor,seed", RMAT_CASES)
+    def test_raw_stream_unchanged(self, scale, edge_factor, seed):
+        raw = rmat_edges(
+            scale, edge_factor=edge_factor, seed=seed, deduplicate=False
+        )
+        ref = _rmat_first_occurrence(
+            scale, edge_factor, seed, deduplicate=False
+        )
+        assert raw.dtype == np.int64 and np.array_equal(raw, ref)
+
+    def test_skewed_quadrants(self):
+        """Non-default probabilities, including an empty quadrant b."""
+        for abc in ((0.45, 0.0, 0.3), (0.25, 0.25, 0.25), (0.1, 0.6, 0.2)):
+            quadrants = dict(zip("abc", abc))
+            got = rmat_edges(8, edge_factor=6.0, seed=2, **quadrants)
+            ref = _rmat_first_occurrence(8, 6.0, 2, **quadrants)
+            assert set(map(tuple, got.tolist())) == set(
+                map(tuple, ref.tolist())
+            )
+            raw = rmat_edges(
+                8, edge_factor=6.0, seed=2, deduplicate=False, **quadrants
+            )
+            assert np.array_equal(
+                raw,
+                _rmat_first_occurrence(
+                    8, 6.0, 2, deduplicate=False, **quadrants
+                ),
+            )

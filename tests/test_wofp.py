@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import WorkloadBalancedAllocator, WorkloadPrefetcher
-from repro.core.wofp import DisabledPrefetchPlan
+from repro.core.wofp import DisabledPrefetchPlan, top_k_descending
 
 
 @pytest.fixture
@@ -204,6 +206,52 @@ class TestPlanMatchesUnique:
             "degree", 0, 0.0
         )
         assert plan.hot_columns.size == 0
+
+
+@st.composite
+def _ranks_and_k(draw):
+    """Non-negative integer ranks (heavy ties from a small alphabet, or
+    all equal) and a k in [1, len]."""
+    n = draw(st.integers(1, 200))
+    high = draw(st.sampled_from([0, 1, 3, 50, 10**6]))
+    values = np.array(
+        draw(st.lists(st.integers(0, high), min_size=n, max_size=n)),
+        dtype=np.int64,
+    )
+    k = draw(st.one_of(st.just(1), st.just(n), st.integers(1, n)))
+    return values, k
+
+
+class TestTopKDescending:
+    """The partition-based top k equals the stable argsort it replaced."""
+
+    @staticmethod
+    def _reference(values, k):
+        return np.argsort(-values, kind="stable")[:k]
+
+    @settings(max_examples=300, deadline=None)
+    @given(_ranks_and_k())
+    def test_matches_stable_argsort(self, case):
+        values, k = case
+        got = top_k_descending(values, k)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, self._reference(values, k))
+
+    @pytest.mark.parametrize(
+        "values,k",
+        [
+            ([0], 1),  # a single element
+            ([7] * 17, 1),  # all equal: k == 1 ...
+            ([7] * 17, 9),
+            ([7] * 17, 17),  # ... and k == len
+            ([2, 5, 5, 1], 9),  # k beyond len, as argsort[:k] allows
+            ([2, 5, 5, 1], 0),
+        ],
+    )
+    def test_edge_cases(self, values, k):
+        values = np.array(values, dtype=np.int64)
+        got = top_k_descending(values, k)
+        assert np.array_equal(got, self._reference(values, k))
 
 
 class TestDisabledPlan:
